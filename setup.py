@@ -9,4 +9,7 @@ setup(
     package_dir={"": "src"},
     packages=find_packages(where="src"),
     python_requires=">=3.9",
+    # The tier-1 suite's property tests need hypothesis; CI installs
+    # ".[test]" in every job so a clean runner collects every module.
+    extras_require={"test": ["pytest", "hypothesis"]},
 )

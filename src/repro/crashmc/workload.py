@@ -11,16 +11,19 @@ minimizer and reproducer scripts rely on this).
 guarantees survive any crash.  Barrier kinds raise the floor at fsync;
 synchronous kinds raise it after every operation; SplitFS additionally
 folds in-place overwrites of committed bytes into the floor (paper
-Section 3.2).  Beyond the floor the shadow keeps per-byte *allowed value
-sets* so that a byte legitimately overwritten twice since the last
-barrier can surface with either value without a false positive.
+Section 3.2).  On top of the floor the shadow keeps, per file, the
+``(off, end, fill)`` runs written into it since the floor was last raised,
+so that a byte legitimately overwritten twice since the last barrier can
+surface with either value without a false positive.  Raising the floor
+drops the runs, so a strict kind (floor raised after every op) pays no
+per-byte bookkeeping.
 """
 
 from __future__ import annotations
 
 import random
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, Optional, Set, Tuple
 
 from ..posix import flags as F
 from .oracles import KindProps
@@ -83,9 +86,11 @@ class Shadow:
         self.nfiles = nfiles
         self.content: Dict[int, bytearray] = {i: bytearray() for i in range(nfiles)}
         self.floor: Dict[int, bytearray] = {i: bytearray() for i in range(nfiles)}
-        #: per byte position < len(floor): every value the byte may legally
-        #: hold after a crash (the floor value plus later unfenced writes).
-        self.allowed: Dict[int, List[set]] = {i: [] for i in range(nfiles)}
+        #: ``(off, end, fill)`` writes landing inside the floor since it
+        #: was last raised: besides its floor value, a byte may legally hold
+        #: after a crash the fill of any run covering it.
+        self.runs: Dict[int, List[Tuple[int, int, int]]] = {
+            i: [] for i in range(nfiles)}
         #: is the file's existence guaranteed to survive a crash?
         self.exists_floor: Dict[int, bool] = {i: False for i in range(nfiles)}
 
@@ -100,13 +105,23 @@ class Shadow:
             buf.extend(b"\x00" * (end - len(buf)))
         buf[off:end] = bytes([fill]) * size
         # Bytes inside the durable floor may now also show the new value.
-        for pos in range(off, min(end, len(self.floor[i]))):
-            self.allowed[i][pos].add(fill)
+        end = min(end, len(self.floor[i]))
+        if off < end:
+            self.runs[i].append((off, end, fill))
 
     def _raise_floor(self, i: int) -> None:
         self.floor[i] = bytearray(self.content[i])
-        self.allowed[i] = [{b} for b in self.floor[i]]
+        self.runs[i] = []
         self.exists_floor[i] = True
+
+    def allowed_values(self, i: int, pos: int) -> Set[int]:
+        """Every value byte ``pos`` (inside the floor) may hold after a
+        crash: the floor value plus later unfenced writes over it."""
+        allowed = {self.floor[i][pos]}
+        for off, end, fill in self.runs[i]:
+            if off <= pos < end:
+                allowed.add(fill)
+        return allowed
 
     # -- op application ----------------------------------------------------
 
@@ -136,10 +151,17 @@ class Shadow:
         elif self.props.overwrites_sync and op.kind == "overwrite":
             # SplitFS POSIX/sync: the part of an overwrite landing inside
             # already-committed bytes is in-place and fenced before return.
-            end = min(op.offset + op.size, len(self.floor[op.file]))
-            for pos in range(op.offset, end):
-                self.floor[op.file][pos] = op.fill
-                self.allowed[op.file][pos] = {op.fill}
+            off = op.offset
+            end = min(off + op.size, len(self.floor[op.file]))
+            if off < end:
+                self.floor[op.file][off:end] = bytes([op.fill]) * (end - off)
+                # Earlier unfenced values there are overwritten for good.
+                self.runs[op.file] = [
+                    (a, b, fill)
+                    for run_off, run_end, fill in self.runs[op.file]
+                    for a, b in ((run_off, min(run_end, off)),
+                                 (max(run_off, end), run_end))
+                    if a < b]
 
     def content_after(self, op: Op) -> bytes:
         """File content if ``op`` (the in-flight operation) had completed."""

@@ -46,7 +46,17 @@ def fsck(fs: Ext4DaxFS) -> FsckReport:
     claimed: Dict[int, int] = {}  # physical block -> owning ino
 
     def claim(block: int, length: int, ino: int, what: str) -> None:
-        for b in range(block, block + length):
+        blocks = range(block, block + length)
+        if (length > 0 and fs.data_start <= block
+                and block + length <= fs.total_blocks
+                and claimed.keys().isdisjoint(blocks)):
+            # The common case, an in-bounds extent nobody else owns: claim
+            # it whole.  Anything else takes the per-block loop, which
+            # names each offending block.
+            claimed.update(dict.fromkeys(blocks, ino))
+            report.blocks_claimed += length
+            return
+        for b in blocks:
             if b < fs.data_start or b >= fs.total_blocks:
                 report.error(f"ino {ino}: {what} block {b} outside data region")
                 continue

@@ -87,8 +87,10 @@ class Journal:
         self.stats = JournalStats()
         self._seq = 1
         self._head = 1  # next free block index within the region
-        #: Invoked whenever the journal region resets (checkpoint/recovery);
-        #: the owning FS uses it to release revoke-quarantined blocks.
+        #: A :class:`weakref.WeakMethod` to a hook invoked whenever the
+        #: journal region resets (checkpoint/recovery); the owning FS uses it
+        #: to release revoke-quarantined blocks.  Weak, because the FS owns
+        #: the journal: a bound method here would make the pair a cycle.
         self.on_reset = None
         #: The journal commit lock (jbd2's j_state/commit serialisation): the
         #: owning FS replaces this with a machine-backed
@@ -182,8 +184,12 @@ class Journal:
         # Invalidate the first slot so stale descriptors are not replayed.
         self.pm.store(self._addr(1), b"\x00" * C.BLOCK_SIZE, category=Category.META_IO)
         self.pm.sfence(category=Category.META_IO)
-        if self.on_reset is not None:
-            self.on_reset()
+        self._fire_reset()
+
+    def _fire_reset(self) -> None:
+        hook = self.on_reset() if self.on_reset is not None else None
+        if hook is not None:
+            hook()
 
     # -- recovery ----------------------------------------------------------------------
 
@@ -246,6 +252,5 @@ class Journal:
         self._write_superblock()
         self.pm.store(self._addr(1), b"\x00" * C.BLOCK_SIZE, category=Category.META_IO)
         self.pm.sfence(category=Category.META_IO)
-        if self.on_reset is not None:
-            self.on_reset()
+        self._fire_reset()
         return replayed

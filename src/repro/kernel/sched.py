@@ -31,6 +31,7 @@ cost, zero state — which is what keeps single-client goldens bit-identical.
 from __future__ import annotations
 
 import heapq
+import weakref
 from dataclasses import dataclass
 from typing import Dict, Generator, List, Optional, Tuple
 
@@ -94,12 +95,15 @@ class SimLock:
     and un-scheduled code paths must cost exactly zero.
     """
 
-    __slots__ = ("name", "machine", "free_at", "last_cpu", "stats",
+    __slots__ = ("name", "_machine", "free_at", "last_cpu", "stats",
                  "_owner", "_depth", "_acquired_at")
 
     def __init__(self, name: str, machine) -> None:
         self.name = name
-        self.machine = machine
+        # Weak: the machine's lock table holds its locks, so a strong
+        # back-reference would make every machine cyclic garbage that only
+        # a full GC pass frees (crash-explorer children by the hundred).
+        self._machine = weakref.ref(machine)
         self.free_at = 0.0  # virtual ns at which the lock is next free
         self.last_cpu = -1  # CPU of the last owner (for IPI accounting)
         self.stats = LockStats()
@@ -108,7 +112,8 @@ class SimLock:
         self._acquired_at = 0.0
 
     def acquire(self) -> None:
-        sched = self.machine.sched
+        machine = self._machine()
+        sched = machine.sched if machine is not None else None
         if sched is None or sched.current is None:
             return
         task = sched.current
@@ -138,7 +143,8 @@ class SimLock:
         self.last_cpu = task.cpu
 
     def release(self) -> None:
-        sched = self.machine.sched
+        machine = self._machine()
+        sched = machine.sched if machine is not None else None
         if self._owner is None or sched is None or sched.current is not self._owner:
             return  # acquire was a no-op (or foreign unlock): mirror it
         if self._depth > 1:

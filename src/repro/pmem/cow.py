@@ -73,13 +73,21 @@ class CowBuffer:
 
     # -- segment plumbing ---------------------------------------------------
 
-    def _own_segment(self, seg: int) -> bytearray:
-        """The private copy of segment ``seg``, copying it out on first use."""
+    def _own_segment(self, seg: int, fill=None) -> bytearray:
+        """The private copy of segment ``seg``, copying it out on first use.
+
+        ``fill`` is a buffer covering the whole segment that the caller is
+        about to write: the private copy is taken from it instead of the
+        base, whose bytes would all be overwritten.  The counters do not
+        distinguish the two — a segment goes private either way.
+        """
         own = self._own.get(seg)
         if own is None:
             start = seg << SEGMENT_SHIFT
             end = min(start + SEGMENT_SIZE, self.size)
-            own = self._own[seg] = bytearray(self.base[start:end])
+            if fill is None:
+                fill = self._base_view(start, end)
+            own = self._own[seg] = bytearray(fill)
             stats = self.stats
             if stats is not None:
                 stats.cow_copies += 1
@@ -87,34 +95,41 @@ class CowBuffer:
                 stats.bytes_shared -= end - start
         return own
 
+    def _base_view(self, start: int, stop: int):
+        """``base[start:stop]`` without a copy when the base is a bytearray."""
+        base = self.base
+        if type(base) is bytearray:
+            return memoryview(base)[start:stop]
+        return base.read(start, stop)  # a fork of a fork
+
+    def _view(self, start: int, stop: int):
+        """A buffer over ``[start, stop)``, which lies in one segment."""
+        seg = start >> SEGMENT_SHIFT
+        seg_own = self._own.get(seg)
+        if seg_own is None:
+            return self._base_view(start, stop)
+        off = seg << SEGMENT_SHIFT
+        return memoryview(seg_own)[start - off : stop - off]
+
     # -- bulk access --------------------------------------------------------
 
     def read(self, start: int, stop: int) -> bytes:
-        """Bytes of ``[start, stop)``, assembled from overlay and base."""
+        """Bytes of ``[start, stop)``, assembled from overlay and base.
+
+        Each byte is copied once: pieces are memoryviews into the overlay
+        and the base, joined (or converted) straight into the result.
+        """
         if start >= stop:
             return b""
-        own = self._own
         first = start >> SEGMENT_SHIFT
         last = (stop - 1) >> SEGMENT_SHIFT
         if first == last:
-            seg_own = own.get(first)
-            if seg_own is None:
-                return bytes(self.base[start:stop])
-            base_off = first << SEGMENT_SHIFT
-            return bytes(seg_own[start - base_off : stop - base_off])
-        parts = []
-        pos = start
-        for seg in range(first, last + 1):
-            seg_start = seg << SEGMENT_SHIFT
-            seg_stop = min(seg_start + SEGMENT_SIZE, stop)
-            lo = max(pos, seg_start)
-            seg_own = own.get(seg)
-            if seg_own is None:
-                parts.append(bytes(self.base[lo:seg_stop]))
-            else:
-                parts.append(bytes(seg_own[lo - seg_start : seg_stop - seg_start]))
-            pos = seg_stop
-        return b"".join(parts)
+            return bytes(self._view(start, stop))
+        view = self._view
+        return b"".join([
+            view(max(start, seg << SEGMENT_SHIFT),
+                 min((seg + 1) << SEGMENT_SHIFT, stop))
+            for seg in range(first, last + 1)])
 
     def write(self, start: int, data: bytes) -> None:
         """Write ``data`` at ``start``, lazily privatising touched segments."""
@@ -123,20 +138,23 @@ class CowBuffer:
             return
         stop = start + size
         first = start >> SEGMENT_SHIFT
-        last = (stop - 1) >> SEGMENT_SHIFT
-        if first == last:
+        if first == (stop - 1) >> SEGMENT_SHIFT and size < SEGMENT_SIZE:
+            # The common small store: patch one segment in place.
             seg_own = self._own_segment(first)
             off = start - (first << SEGMENT_SHIFT)
             seg_own[off : off + size] = data
             return
-        pos = start
-        for seg in range(first, last + 1):
+        src = memoryview(data)
+        for seg in range(first, ((stop - 1) >> SEGMENT_SHIFT) + 1):
             seg_start = seg << SEGMENT_SHIFT
-            seg_stop = min(seg_start + SEGMENT_SIZE, stop)
-            seg_own = self._own_segment(seg)
-            seg_own[pos - seg_start : seg_stop - seg_start] = \
-                data[pos - start : seg_stop - start]
-            pos = seg_stop
+            seg_end = min(seg_start + SEGMENT_SIZE, self.size)
+            lo = max(start, seg_start)
+            hi = min(seg_end, stop)
+            piece = src[lo - start : hi - start]
+            if lo == seg_start and hi == seg_end and seg not in self._own:
+                self._own_segment(seg, fill=piece)
+            else:
+                self._own_segment(seg)[lo - seg_start : hi - seg_start] = piece
 
     def tobytes(self) -> bytes:
         """Materialise the full buffer (tests and digests only)."""

@@ -226,6 +226,28 @@ class PersistentMemory:
         random_access: bool = False,
     ) -> bytes:
         """Read ``size`` bytes; charges one access latency plus bandwidth."""
+        self._account_load(addr, size, category, random_access)
+        return self._fetch(addr, size)
+
+    def load_blocks(self, addr: int, count: int,
+                    category: Category = Category.DATA) -> bytes:
+        """Read ``count`` consecutive blocks from ``addr`` in one fetch.
+
+        Checks and charges each block exactly as ``count`` sequential
+        :meth:`load` calls of one block would — range check, poison and RAS
+        verification, IO counters, and one clock charge per block, in
+        address order — so simulated time, ``DeviceStats`` and the block
+        that raises are those of the per-block loop.  Only the host copy is
+        batched: a recovery scan pays one fetch instead of one per block.
+        """
+        block = C.BLOCK_SIZE
+        for blk_addr in range(addr, addr + count * block, block):
+            self._account_load(blk_addr, block, category, False)
+        return self._fetch(addr, count * block)
+
+    def _account_load(self, addr: int, size: int, category: Category,
+                      random_access: bool) -> None:
+        """Everything a load does except moving the bytes."""
         self._check(addr, size)
         if self.faults is not None:
             try:
@@ -237,8 +259,9 @@ class PersistentMemory:
                     raise
         if self.ras is not None:
             self.ras.verify_load(addr, size)
-        self.stats.loads += 1
-        self.stats.bytes_read += size
+        stats = self.stats
+        stats.loads += 1
+        stats.bytes_read += size
         latency = C.PM_RAND_READ_LATENCY_NS if random_access else C.PM_SEQ_READ_LATENCY_NS
         transfer_ns = latency + size * C.PM_READ_NS_PER_BYTE
         self.clock.charge(transfer_ns, category)
@@ -256,6 +279,8 @@ class PersistentMemory:
             delay = self.bandwidth.acquire_read(size, self._device_now())
             if delay:
                 self.clock.charge(delay, category)
+
+    def _fetch(self, addr: int, size: int) -> bytes:
         buf = self.buf
         if type(buf) is bytearray:
             # Single-copy read: slicing the bytearray first would copy twice.
@@ -266,7 +291,7 @@ class PersistentMemory:
         """Read without charging time (for assertions and recovery scans that
         account their own costs)."""
         self._check(addr, size)
-        return bytes(self.buf[addr : addr + size])
+        return self._fetch(addr, size)
 
     def poke(self, addr: int, data: bytes) -> None:
         """Write without charging time, durable immediately (test setup only)."""

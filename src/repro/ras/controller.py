@@ -44,6 +44,7 @@ region at mount, so a superblock poisoned while unmounted is unrecoverable
 
 from __future__ import annotations
 
+import weakref
 import zlib
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Dict, List, Optional, Tuple
@@ -148,7 +149,7 @@ class RASController:
 
     def __init__(self, pm: "PersistentMemory",
                  config: Optional[RASConfig] = None) -> None:
-        self.pm = pm
+        self._pm = weakref.ref(pm)
         self.config = config or RASConfig()
         self.stats = RASStats()
         self.regions: List[_Region] = []
@@ -161,6 +162,13 @@ class RASController:
         self.background_account = TimeAccount()
         self._last_scrub_ns = pm.clock.now_ns
         self._in_hook = False
+
+    @property
+    def pm(self) -> "PersistentMemory":
+        """The protected device.  Held weakly: the device points back here
+        (``pm.ras``), and a cycle would keep a discarded forked device —
+        and its private CoW segments — alive until a full GC pass."""
+        return self._pm()
 
     # -- registration --------------------------------------------------------
 
@@ -219,7 +227,7 @@ class RASController:
         import dataclasses
 
         child = object.__new__(RASController)
-        child.pm = pm
+        child._pm = weakref.ref(pm)
         child.config = self.config
         child.stats = dataclasses.replace(self.stats)
         child.regions = []

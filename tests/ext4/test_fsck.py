@@ -113,3 +113,56 @@ class TestCorruptionDetection:
         inode.extmap.punch(0, 1)
         report = fsck(fs)
         assert any("accounting mismatch" in e for e in report.errors)
+
+
+class TestExtentClaims:
+    """Whole-extent claims must report exactly what per-block claims do."""
+
+    def _remap(self, fs, path, phys, length):
+        inode = fs.inodes[fs._resolve(path)]
+        inode.extmap.punch(0, 1 << 20)
+        inode.extmap.insert(0, phys, length)
+        return fs._resolve(path)
+
+    def test_partial_overlap_names_each_shared_block(self, fs):
+        fs.write_file("/a", b"1" * (4 * 4096))
+        fs.write_file("/b", b"2" * (4 * 4096))
+        ia = fs._resolve("/a")
+        a_start = fs.inodes[ia].extmap.extents[0].phys
+        # b's 4 blocks now cover a's last two plus two blocks past it.
+        before = fsck(fs).blocks_claimed
+        ib = self._remap(fs, "/b", a_start + 2, 4)
+        report = fsck(fs)
+        shared = [e for e in report.errors if "claimed by both" in e]
+        assert shared == [
+            f"block {a_start + 2} claimed by both ino {ia} and ino {ib} (data)",
+            f"block {a_start + 3} claimed by both ino {ia} and ino {ib} (data)",
+        ]
+        assert report.blocks_claimed == before
+
+    def test_extent_straddling_the_data_region_start(self, fs):
+        fs.write_file("/s", b"s" * (3 * 4096))
+        before = fsck(fs).blocks_claimed
+        ino = self._remap(fs, "/s", fs.data_start - 1, 3)
+        report = fsck(fs)
+        outside = [e for e in report.errors if "outside data region" in e]
+        assert outside == [
+            f"ino {ino}: data block {fs.data_start - 1} outside data region"]
+        assert report.blocks_claimed == before - 1
+
+    def test_extent_running_off_the_device(self, fs):
+        fs.write_file("/e", b"e" * (2 * 4096))
+        ino = self._remap(fs, "/e", fs.total_blocks - 1, 2)
+        report = fsck(fs)
+        assert [e for e in report.errors if "outside data region" in e] == [
+            f"ino {ino}: data block {fs.total_blocks} outside data region"]
+
+    def test_self_overlap_is_not_an_error_but_counts_twice(self, fs):
+        fs.write_file("/t", b"t" * (2 * 4096))
+        inode = fs.inodes[fs._resolve("/t")]
+        phys = inode.extmap.extents[0].phys
+        before = fsck(fs).blocks_claimed
+        inode.extmap.insert(5, phys, 2)  # the same two blocks, mapped again
+        report = fsck(fs)
+        assert not any("claimed by both" in e for e in report.errors)
+        assert report.blocks_claimed == before + 2

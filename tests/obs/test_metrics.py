@@ -247,20 +247,23 @@ class TestQuantile:
 try:
     from hypothesis import given, settings
     from hypothesis import strategies as st
-
-    HAVE_HYPOTHESIS = True
-except ImportError:  # pragma: no cover - toolchain always ships hypothesis
-    HAVE_HYPOTHESIS = False
+except ImportError:  # without the test extra: the property test skips
+    given = None
 
 
-@pytest.mark.skipif(not HAVE_HYPOTHESIS, reason="hypothesis unavailable")
+@pytest.mark.skipif(given is None, reason="hypothesis unavailable")
 class TestQuantileProperty:
+    def test_quantile_brackets_exact_sample_quantile(self):
+        _quantile_brackets_exact_sample_quantile()
+
+
+if given is not None:
     @given(values=st.lists(
         st.floats(min_value=0.0, max_value=1e12, allow_nan=False),
         min_size=1, max_size=200),
         q=st.floats(min_value=0.0, max_value=1.0))
     @settings(max_examples=150, deadline=None)
-    def test_quantile_brackets_exact_sample_quantile(self, values, q):
+    def _quantile_brackets_exact_sample_quantile(values, q):
         h = Histogram("h")
         for v in values:
             h.record(v)
